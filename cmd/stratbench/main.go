@@ -318,7 +318,8 @@ func planXCodeResidual(code *xcode.Code, in *input, res *core.Result) int {
 
 // verify replays the plan through the hardware models. All geometries get
 // the full program replay (mask stage → compactor → canceling MISR, the
-// pipeline's stage-6 check); geometries narrow enough for a one-input-per-
+// pipeline's stage-6 check, with the X's left at the mask output equal to
+// the accounted ResidualX); geometries narrow enough for a one-input-per-
 // chain MISR additionally run the partitioned canceler and demand its
 // observed X count equal the accounted ResidualX exactly.
 func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
@@ -338,6 +339,8 @@ func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 		return false, false, fmt.Sprintf("replay masked %d observable captures", vr.ObservableMasked)
 	case vr.MaskedX != res.MaskedX:
 		return false, false, fmt.Sprintf("replay masked %d X's, plan accounts %d", vr.MaskedX, res.MaskedX)
+	case vr.UnmaskedX != res.ResidualX:
+		return false, false, fmt.Sprintf("replay left %d X's unmasked, plan accounts %d", vr.UnmaskedX, res.ResidualX)
 	case vr.ResidualX > res.ResidualX:
 		return false, false, fmt.Sprintf("replay residual %d exceeds accounted %d", vr.ResidualX, res.ResidualX)
 	case vr.Halts > planned:

@@ -7,17 +7,21 @@ package fault
 //  1. Word-parallel good machine. Patterns are cut into 64-lane blocks and
 //     the fault-free machine is evaluated exactly once per block
 //     (sim.PSim.CaptureBlock), retaining every node's word.
-//  2. Cone-limited fault evaluation. Each fault re-evaluates only its
-//     fanout cone (sim.ConeSim), reading good-machine words at the cone
-//     frontier — the per-fault cost is proportional to the cone, not the
-//     circuit.
+//  2. Event-driven fault propagation. Each fault re-evaluates only the
+//     gates its effect actually reaches (sim.ConeSim.Propagate): a gate is
+//     scheduled only when one of its fanins' faulty word differs from the
+//     good word, and everything else is read from the good machine — the
+//     per-fault cost is proportional to the disturbed part of the cone, not
+//     the circuit or even the whole cone.
 //  3. Fault-parallel fan-out with single-pass multi-observability. The
-//     (typically collapsed) fault list is sharded across an internal/pool
-//     worker set with position-indexed results; each fault's faulty
-//     captures are computed once and every Observe predicate is evaluated
-//     against the same difference words, so "baseline vs hybrid" coverage
-//     costs one simulation, not two. A fault is dropped — its remaining
-//     pattern blocks skipped — as soon as every predicate has detected it.
+//     (typically collapsed) fault list is claimed in fixed-size batches
+//     from one shared cursor by an internal/pool worker set, so skewed
+//     fault costs still balance, with position-indexed results; each
+//     fault's faulty captures are computed once and every Observe predicate
+//     is evaluated against the same difference words, so "baseline vs
+//     hybrid" coverage costs one simulation, not two. A fault is dropped —
+//     its remaining pattern blocks skipped — as soon as every predicate has
+//     detected it.
 //
 // The contract is exact equivalence with the reference simulator: for every
 // predicate j, the returned Result j (Detected and per-fault first
@@ -38,18 +42,26 @@ import (
 	"xhybrid/internal/sim"
 )
 
+// claimBatch is how many consecutive faults a worker claims from the shared
+// cursor at a time: large enough that claiming costs nothing next to
+// simulating, small enough that the skewed tail still spreads over every
+// worker.
+const claimBatch = 32
+
 // PPSFPOptions carries the engine's run knobs. The zero value runs on all
 // CPUs with no observation or progress reporting.
 type PPSFPOptions struct {
 	// Workers bounds the fault-parallel fan-out (0 = all CPUs). Results
 	// are byte-identical for any worker count.
 	Workers int
-	// Obs receives the engine's counters (fault.ppsfp.*): cones built,
-	// cone and evaluated gate totals, and per-block fault-drop counts.
+	// Obs receives the engine's counters (fault.ppsfp.*): faults and
+	// blocks simulated, faults activated (forced word differs from the
+	// good word in some block), gate evaluations performed, and per-block
+	// fault-drop counts.
 	Obs *obs.Recorder
-	// OnProgress, when set, is called as faults complete simulation —
-	// roughly every ProgressEvery completions and once at the end with
-	// done == total. It may be called concurrently from several workers
+	// OnProgress, when set, is called as batches of faults complete
+	// simulation — once per batch that crosses a multiple of
+	// ProgressEvery completions, and once at the end with done == total. It may be called concurrently from several workers
 	// and must be safe for that; done values are monotonic per call site
 	// but may arrive out of order.
 	OnProgress func(done, total int)
@@ -62,7 +74,7 @@ type PPSFPOptions struct {
 // fault list and returns one Result per observability predicate, each
 // exactly equal — Detected count and per-fault first detecting pattern — to
 // a serial Simulate run under that predicate alone. A nil predicate means
-// full observability. Canceling ctx aborts between faults with the
+// full observability. Canceling ctx aborts between fault batches with the
 // context's error.
 func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.Vector, faults []Def, preds []Observe, opt PPSFPOptions) ([]*Result, error) {
 	if len(loads) != len(pis) {
@@ -122,18 +134,21 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 		}
 	}
 
-	// Phase 2: shard the fault list across the workers. Every fault's
-	// lifecycle — cone, per-block evaluation, per-predicate first
+	// Phase 2: the workers claim fixed-size batches of faults from one
+	// shared cursor until the list is exhausted. Fault cost is heavily
+	// skewed (low node IDs own the big fanout cones), so dynamic claiming
+	// keeps every worker busy where a static split would leave one idle.
+	// Every fault's lifecycle — per-block propagation, per-predicate first
 	// detection, drop decision — is independent of every other fault's,
 	// and all writes are position-indexed by fault, so the assembled
 	// results are byte-identical at any worker count.
 	ix := sim.NewConeIndex(c)
 	type workerStats struct {
-		cones, coneGates, gateEvals int64
-		droppedAt                   []int64
+		activated, gateEvals int64
+		droppedAt            []int64
 	}
 	stats := make([]workerStats, p.Workers())
-	var done atomic.Int64
+	var next, done atomic.Int64
 	every := opt.ProgressEvery
 	if every <= 0 {
 		every = len(faults) / 32
@@ -142,32 +157,34 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 		}
 	}
 	total := len(faults)
-	p.Chunks(len(faults), func(ci, lo, hi int) {
+	p.Chunks(p.Workers(), func(w, _, _ int) {
 		cs := ix.NewSim()
-		st := &stats[ci]
+		st := &stats[w]
 		st.droppedAt = make([]int64, nb)
 		best := make([]int, np)
 		pending := make([]bool, np)
-		for fi := lo; fi < hi; fi++ {
-			if err := ctx.Err(); err != nil {
-				errs[ci] = err
+		for {
+			if ctx.Err() != nil {
 				return
 			}
-			f := faults[fi]
-			gates, cells := cs.BuildCone(f.Node)
-			st.cones++
-			st.coneGates += int64(len(gates))
-			npending := np
-			for j := range pending {
-				pending[j] = true
+			lo := int(next.Add(claimBatch)) - claimBatch
+			if lo >= total {
+				return
 			}
-			for b, blk := range blocks {
-				base := b * 64
-				for j := range best {
-					best[j] = 64
+			hi := min(lo+claimBatch, total)
+			for fi := lo; fi < hi; fi++ {
+				f := sim.Fault{Node: faults[fi].Node, StuckAt: faults[fi].SA}
+				npending := np
+				for j := range pending {
+					pending[j] = true
 				}
-				st.gateEvals += int64(cs.FaultDiff(blk, sim.Fault{Node: f.Node, StuckAt: f.SA}, gates, cells,
-					func(cell int, lanes uint64) {
+				activated := false
+				for b, blk := range blocks {
+					base := b * 64
+					for j := range best {
+						best[j] = 64
+					}
+					evals, act := cs.Propagate(blk, f, func(cell int, lanes uint64) {
 						for j := 0; j < np; j++ {
 							if !pending[j] {
 								continue
@@ -194,28 +211,35 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 								}
 							}
 						}
-					}))
-				for j := 0; j < np; j++ {
-					if pending[j] && best[j] < 64 {
-						results[j].DetectedBy[fi] = base + best[j]
-						pending[j] = false
-						npending--
+					})
+					st.gateEvals += int64(evals)
+					activated = activated || act
+					for j := 0; j < np; j++ {
+						if pending[j] && best[j] < 64 {
+							results[j].DetectedBy[fi] = base + best[j]
+							pending[j] = false
+							npending--
+						}
+					}
+					if npending == 0 {
+						st.droppedAt[b]++
+						break
 					}
 				}
-				if npending == 0 {
-					st.droppedAt[b]++
-					break
+				if activated {
+					st.activated++
 				}
 			}
-			if d := int(done.Add(1)); opt.OnProgress != nil && (d%every == 0 || d == total) {
+			n := int64(hi - lo)
+			if d := int(done.Add(n)); opt.OnProgress != nil && (d/every != (d-int(n))/every || d == total) {
 				opt.OnProgress(d, total)
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// A cancellation that lands mid-batch lets the batch finish; report it
+	// all the same.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	for j := range results {
@@ -232,11 +256,10 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 	// quantities), so the observability stream is as deterministic as the
 	// results.
 	rec := opt.Obs
-	var cones, coneGates, gateEvals int64
+	var activated, gateEvals int64
 	droppedAt := make([]int64, nb)
 	for i := range stats {
-		cones += stats[i].cones
-		coneGates += stats[i].coneGates
+		activated += stats[i].activated
 		gateEvals += stats[i].gateEvals
 		for b, n := range stats[i].droppedAt {
 			droppedAt[b] += n
@@ -244,8 +267,7 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 	}
 	rec.Add("fault.ppsfp.faults", int64(len(faults)))
 	rec.Add("fault.ppsfp.blocks", int64(nb))
-	rec.Add("fault.ppsfp.cones.built", cones)
-	rec.Add("fault.ppsfp.cone.gates", coneGates)
+	rec.Add("fault.ppsfp.faults.activated", activated)
 	rec.Add("fault.ppsfp.gates.evaluated", gateEvals)
 	for b, n := range droppedAt {
 		if n > 0 {

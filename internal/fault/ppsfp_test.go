@@ -2,11 +2,14 @@ package fault
 
 import (
 	"context"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xhybrid/internal/atpg"
 	"xhybrid/internal/logic"
+	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
 )
 
@@ -116,7 +119,7 @@ func TestPPSFPProgressAndCounters(t *testing.T) {
 	var mu sync.Mutex
 	var last int
 	calls := 0
-	_, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, []Observe{nil},
+	res, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, []Observe{nil},
 		PPSFPOptions{Workers: 2, Obs: rec, ProgressEvery: 4, OnProgress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -135,8 +138,9 @@ func TestPPSFPProgressAndCounters(t *testing.T) {
 		t.Fatalf("progress never reached total: last %d after %d calls", last, calls)
 	}
 	snap := rec.Snapshot()
-	if got := snap.CounterValue("fault.ppsfp.cones.built"); got != int64(len(faults)) {
-		t.Fatalf("cones.built = %d, want %d", got, len(faults))
+	// Every detected fault was activated; no fault is counted twice.
+	if got := snap.CounterValue("fault.ppsfp.faults.activated"); got < int64(res[0].Detected) || got > int64(len(faults)) {
+		t.Fatalf("faults.activated = %d, want within [%d, %d]", got, res[0].Detected, len(faults))
 	}
 	if snap.CounterValue("fault.ppsfp.blocks") != 1 {
 		t.Fatal("expected one 64-pattern block")
@@ -167,6 +171,90 @@ func TestPPSFPCountersDeterministic(t *testing.T) {
 			if got := snap.CounterValue(cs.Name); got != cs.Value {
 				t.Fatalf("counter %s: %d at workers=4, %d at workers=1", cs.Name, got, cs.Value)
 			}
+		}
+	}
+}
+
+// TestPPSFPScheduling feeds the engine the shape the flow does: the full
+// collapsed fault list in node order, where the costly faults (the big
+// fanout cones of the low node IDs) cluster at the front and span many
+// claim batches. Results and counters must not depend on how the batches
+// fell to the workers, and a cancellation landing mid-batch must still be
+// reported.
+func TestPPSFPScheduling(t *testing.T) {
+	c, err := netlist.Generate(netlist.GenConfig{
+		Name:      "sched",
+		ScanCells: 256,
+		PIs:       8,
+		XClusters: 4,
+		XFanout:   6,
+		Seed:      12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := atpg.GenerateStimuli(90, len(c.ScanCells), len(c.PIs), 21)
+	faults := Representatives(Collapse(c, AllFaults(c)))
+	for i := 1; i < len(faults); i++ {
+		if faults[i].Node < faults[i-1].Node {
+			t.Fatal("collapsed list is not in node order")
+		}
+	}
+	if len(faults) < 8*claimBatch {
+		t.Fatalf("%d faults: too few claim batches to exercise scheduling", len(faults))
+	}
+	preds := make([]Observe, len(ppsfpPreds))
+	for j, p := range ppsfpPreds {
+		preds[j] = p.obs
+	}
+	var want []*Result
+	var wantSnap obs.Snapshot
+	for _, workers := range []int{1, 2, 4, 8} {
+		rec := obs.New()
+		got, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, preds,
+			PPSFPOptions{Workers: workers, Obs: rec})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		snap := rec.Snapshot()
+		if want == nil {
+			want, wantSnap = got, snap
+			if want[0].Detected == 0 {
+				t.Fatal("no detections")
+			}
+			continue
+		}
+		for j, p := range ppsfpPreds {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("workers %d pred %s: result differs from workers 1", workers, p.name)
+			}
+		}
+		if len(snap.Counters) != len(wantSnap.Counters) {
+			t.Fatalf("workers %d: %d counters, %d at workers 1", workers, len(snap.Counters), len(wantSnap.Counters))
+		}
+		for _, cs := range wantSnap.Counters {
+			if got := snap.CounterValue(cs.Name); got != cs.Value {
+				t.Fatalf("workers %d counter %s: %d, %d at workers 1", workers, cs.Name, got, cs.Value)
+			}
+		}
+	}
+
+	// Cancel from inside a predicate: the fault being simulated, and the
+	// rest of its batch, finish, but the call must report the cancellation.
+	for _, workers := range []int{1, 2, 4, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		cancelling := func(p, cell int) bool {
+			if calls.Add(1) == 100 {
+				cancel()
+			}
+			return true
+		}
+		res, err := SimulatePPSFP(ctx, c, st.Loads, st.PIs, faults, []Observe{cancelling},
+			PPSFPOptions{Workers: workers})
+		cancel()
+		if err != context.Canceled || res != nil {
+			t.Fatalf("workers %d: canceled mid-batch returned (%v, %v), want (nil, context.Canceled)", workers, res, err)
 		}
 	}
 }

@@ -121,6 +121,9 @@ type VerifyReport struct {
 	// ObservableMasked counts known captures destroyed by masks — the
 	// fault-coverage guarantee demands zero.
 	ObservableMasked int
+	// UnmaskedX is the number of X captures left at the mask output,
+	// before compaction: exactly the plan's accounting residual.
+	UnmaskedX int
 	// ResidualX is the number of X's that reached the MISR after masking
 	// and compaction (compaction can fold several into one).
 	ResidualX int
@@ -183,6 +186,7 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 		rep.MaskedX += maskedHere
 		rep.ObservableMasked += observableHere
 		masked := mask.Apply(r)
+		rep.UnmaskedX += masked.CountX()
 		slices, err := tree.CompactResponse(masked)
 		if err != nil {
 			return nil, err

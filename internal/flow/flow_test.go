@@ -89,7 +89,11 @@ func TestVerifyResponses(t *testing.T) {
 	if rep.MaskedX != prog.Accounting.MaskedX {
 		t.Fatalf("MaskedX = %d, accounting says %d", rep.MaskedX, prog.Accounting.MaskedX)
 	}
-	// Compaction can only fold X's together, never create them.
+	// The mask output leaves exactly the accounting residual...
+	if rep.UnmaskedX != prog.Accounting.ResidualX {
+		t.Fatalf("UnmaskedX = %d, accounting residual %d", rep.UnmaskedX, prog.Accounting.ResidualX)
+	}
+	// ...and compaction can only fold X's together, never create them.
 	if rep.ResidualX > prog.Accounting.ResidualX {
 		t.Fatalf("residual %d exceeds accounting %d", rep.ResidualX, prog.Accounting.ResidualX)
 	}

@@ -184,6 +184,9 @@ type ReplaySummary struct {
 	// MaskedX is the mask stage's measured effect (must equal the plan's
 	// accounting).
 	MaskedX int `json:"maskedX"`
+	// UnmaskedX is the X count at the mask output, before compaction
+	// (must equal the plan's accounting residual).
+	UnmaskedX int `json:"unmaskedX"`
 	// ResidualX is what reached the MISR after masking and compaction
 	// (compaction can fold X's, so <= the accounting residual).
 	ResidualX int `json:"residualX"`
@@ -254,9 +257,9 @@ type Report struct {
 	Coverage *Coverage     `json:"coverage,omitempty"`
 
 	// Preserved is the composite end-to-end verdict: no observable capture
-	// masked, mask effect exactly as accounted, residual and halts within
-	// the planned schedule, and (when fault simulation ran) identical
-	// coverage with and without the masks.
+	// masked, masked and unmasked X exactly as accounted, MISR residual
+	// and halts within the planned schedule, and (when fault simulation
+	// ran) identical coverage with and without the masks.
 	Preserved bool `json:"preserved"`
 
 	Stages []StageTime `json:"stages"`
@@ -435,6 +438,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	rep.Replay = ReplaySummary{
 		ObservableMasked: vr.ObservableMasked,
 		MaskedX:          vr.MaskedX,
+		UnmaskedX:        vr.UnmaskedX,
 		ResidualX:        vr.ResidualX,
 		Halts:            vr.Halts,
 		Signatures:       vr.Signatures,
@@ -445,6 +449,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	}
 	rep.Preserved = vr.ObservableMasked == 0 &&
 		vr.MaskedX == acct.MaskedX &&
+		vr.UnmaskedX == acct.ResidualX &&
 		vr.ResidualX <= acct.ResidualX &&
 		vr.Halts <= rep.PlannedHalts
 

@@ -1,28 +1,28 @@
 package sim
 
-// Cone-limited word-parallel evaluation: the PPSFP fault-simulation kernel.
+// Event-driven word-parallel evaluation: the PPSFP fault-simulation kernel.
 //
 // A single stuck-at fault can only disturb the gates in its combinational
-// fanout cone, so after the fault-free ("good") machine has been evaluated
-// once for a 64-pattern block, each fault needs only its cone re-evaluated —
-// every fanin read at the cone frontier comes straight from the retained
-// good-machine words. Block captures the good machine's full pval state,
-// ConeIndex holds the circuit-wide immutable adjacency (built once, shared
-// by every worker), and ConeSim is the per-worker scratch that builds cones
-// and evaluates them. internal/fault drives these from its fault-parallel
-// PPSFP engine; the scalar equivalence is locked by TestConeDiffMatchesScalar.
+// fanout cone, and within the cone only the gates its effect actually
+// reaches. After the fault-free ("good") machine has been evaluated once for
+// a 64-pattern block, each fault re-evaluates just the gates with a fanin
+// whose faulty word differs from the good one; every other word is read
+// straight from the retained good machine. Block captures the good
+// machine's full pval state, ConeIndex holds the circuit-wide immutable
+// adjacency (built once, shared by every worker), and ConeSim is the
+// per-worker scratch that propagates one fault at a time. internal/fault
+// drives these from its fault-parallel PPSFP engine; the scalar equivalence
+// is locked by TestPropagateMatchesScalar.
 
 import (
-	"sort"
-
 	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
 )
 
 // Block is the retained word-level state of one evaluated batch of up to 64
 // patterns: every node's 64-way pval word, immutable once built. It is the
-// good-machine side of the PPSFP kernel — cone evaluations read their
-// frontier fanins from it.
+// good-machine side of the PPSFP kernel — fault propagation reads every
+// word the fault has not disturbed from it.
 type Block struct {
 	n     int
 	lanes uint64 // mask of valid lanes: bits [0, n)
@@ -56,10 +56,10 @@ func laneMask(n int) uint64 {
 
 // ConeIndex is the immutable circuit-wide adjacency the cone kernel needs:
 // combinational fanout (CSR-compacted), the scan cells observing each node,
-// and each node's topological rank. Build it once per circuit and share it
-// across workers; per-worker scratch lives in ConeSim.
+// each node's topological rank, and the gates laid out in rank order. Build
+// it once per circuit and share it across workers; per-worker scratch lives
+// in ConeSim.
 type ConeIndex struct {
-	c *netlist.Circuit
 	// fanout CSR: readers[fanoutOff[n]:fanoutOff[n+1]] are the
 	// combinational gates reading node n (state elements excluded — they
 	// do not propagate combinationally; their capture is read separately).
@@ -72,23 +72,39 @@ type ConeIndex struct {
 	// capIn[i] is the capture driver node of scan cell i.
 	capIn []int32
 	// pos[n] is the node's topological rank: 0 for sources, EvalOrder
-	// position + 1 for combinational gates. Sorting cone gates by pos
+	// position + 1 for combinational gates; order is its inverse over
+	// combinational gates (order[pos[n]] == n). Popping gates by rank
 	// yields a valid evaluation order.
-	pos []int32
+	pos   []int32
+	order []int32
+	// The gates again, by rank: rank r has type typ[r] and fanins
+	// fanin[faninOff[r]:faninOff[r+1]], packed so the kernel's pops walk
+	// memory in rank order.
+	typ      []netlist.GateType
+	faninOff []int32
+	fanin    []int
 }
 
 // NewConeIndex builds the shared cone adjacency for a finalized circuit.
 func NewConeIndex(c *netlist.Circuit) *ConeIndex {
 	n := c.NumGates()
+	ranks := len(c.EvalOrder()) + 1
 	ix := &ConeIndex{
-		c:         c,
 		fanoutOff: make([]int32, n+1),
 		capOff:    make([]int32, n+1),
 		capIn:     make([]int32, len(c.ScanCells)),
 		pos:       make([]int32, n),
+		order:     make([]int32, ranks),
+		typ:       make([]netlist.GateType, ranks),
+		faninOff:  make([]int32, ranks+1),
 	}
 	for i, id := range c.EvalOrder() {
-		ix.pos[id] = int32(i + 1)
+		r := i + 1
+		ix.pos[id] = int32(r)
+		ix.order[r] = int32(id)
+		ix.typ[r] = c.Gates[id].Type
+		ix.fanin = append(ix.fanin, c.Gates[id].Fanin...)
+		ix.faninOff[r+1] = int32(len(ix.fanin))
 	}
 	// Count, prefix-sum, fill: classic two-pass CSR build.
 	for _, g := range c.Gates {
@@ -140,109 +156,155 @@ func (ix *ConeIndex) capCellsOf(n int32) []int32 {
 	return ix.capCells[ix.capOff[n]:ix.capOff[n+1]]
 }
 
-// ConeSim is one worker's cone-evaluation scratch: a full-size faulty word
-// array with generation stamps (so "reset" is a counter bump, not a clear),
-// plus reusable cone buffers. Not safe for concurrent use — parallel
-// callers give each worker its own ConeSim over a shared ConeIndex.
+// ConeSim is one worker's fault-propagation scratch: a full-size faulty word
+// array with generation stamps (so "reset" is a counter bump, not a clear)
+// and the event heap. Not safe for concurrent use — parallel callers give
+// each worker its own ConeSim over a shared ConeIndex.
 type ConeSim struct {
-	ix      *ConeIndex
-	faulty  []pval
-	stamp   []uint32
-	gen     uint32
-	mark    []uint32
-	markGen uint32
-	gates   []int32
-	cells   []int32
-	queue   []int32
+	ix     *ConeIndex
+	faulty []pval
+	// stamp[n] is node n's state in the current evaluation, generation
+	// gen: queued(gen) once n is on the heap, valid(gen) once faulty[n]
+	// holds its word, anything smaller when n is untouched. Sharing one
+	// word per node means the push check and the later fanin read of the
+	// same node touch the same memory.
+	stamp []uint32
+	gen   uint32
+	// heap is a binary min-heap of topological ranks (ConeIndex.pos).
+	heap []int32
 }
 
-// NewSim returns a fresh per-worker cone evaluator over the index.
+// queued and valid are the stamp values of generation gen; both exceed
+// every stamp of an earlier generation.
+func queued(gen uint32) uint32 { return 2 * gen }
+func valid(gen uint32) uint32  { return 2*gen + 1 }
+
+// NewSim returns a fresh per-worker fault propagator over the index.
 func (ix *ConeIndex) NewSim() *ConeSim {
-	n := ix.c.NumGates()
+	n := len(ix.pos)
 	return &ConeSim{
 		ix:     ix,
 		faulty: make([]pval, n),
 		stamp:  make([]uint32, n),
-		mark:   make([]uint32, n),
 	}
 }
 
-// BuildCone computes the combinational fanout cone of node: the gates whose
-// value the fault can disturb, in topological evaluation order, and the
-// sorted scan-cell indices observing the node or any cone gate. The
-// returned slices alias internal buffers and are valid until the next
-// BuildCone call on this ConeSim.
-func (cs *ConeSim) BuildCone(node int) (gates, obsCells []int32) {
-	ix := cs.ix
-	cs.markGen++
-	cs.gates = cs.gates[:0]
-	cs.cells = cs.cells[:0]
-	cs.queue = append(cs.queue[:0], int32(node))
-	cs.mark[node] = cs.markGen
-	cs.cells = append(cs.cells, ix.capCellsOf(int32(node))...)
-	for len(cs.queue) > 0 {
-		n := cs.queue[len(cs.queue)-1]
-		cs.queue = cs.queue[:len(cs.queue)-1]
-		for _, r := range ix.fanoutOf(n) {
-			if cs.mark[r] == cs.markGen {
-				continue
-			}
-			cs.mark[r] = cs.markGen
-			cs.gates = append(cs.gates, r)
-			cs.cells = append(cs.cells, ix.capCellsOf(r)...)
-			cs.queue = append(cs.queue, r)
-		}
-	}
-	sort.Slice(cs.gates, func(i, j int) bool { return ix.pos[cs.gates[i]] < ix.pos[cs.gates[j]] })
-	sort.Slice(cs.cells, func(i, j int) bool { return cs.cells[i] < cs.cells[j] })
-	return cs.gates, cs.cells
-}
-
-// FaultDiff evaluates the fault against the good block by re-evaluating
-// only the cone gates (frontier fanins read the good machine's words) and
-// calls visit once per observing scan cell whose captured word provably
-// flips — lanes has bit k set when pattern k's capture is a known value in
-// both machines and the values differ. gates and obsCells must come from
-// BuildCone(fault.Node) on this ConeSim. Returns the number of gate
-// evaluations performed (0 when forcing the fault cannot change the node's
-// word, in which case nothing downstream can differ and visit is not
-// called).
-func (cs *ConeSim) FaultDiff(b *Block, fault Fault, gates, obsCells []int32, visit func(cell int, lanes uint64)) int {
+// Propagate evaluates the fault against the good block, event-driven: it
+// forces the fault word, and whenever a node's faulty word differs from its
+// good word in a valid lane it schedules that node's readers, popping gates
+// in topological rank so each is evaluated at most once, after all its
+// fanins. Gates never scheduled equal the good machine by construction, so
+// their words are read straight from the block. visit is called once per
+// scan cell whose captured word provably flips — lanes has bit k set when
+// pattern k's capture is a known value in both machines and the values
+// differ — in no particular cell order. Returns the number of gate
+// evaluations performed and whether the forced word differs from the good
+// word at all (when it does not, nothing downstream can differ and visit
+// is not called).
+func (cs *ConeSim) Propagate(b *Block, fault Fault, visit func(cell int, lanes uint64)) (evals int, activated bool) {
 	ix := cs.ix
 	if fault.Node < 0 || fault.Node >= len(b.vals) {
-		return 0
+		return 0, false
 	}
 	forced := fromV(fault.StuckAt)
-	if forced == b.vals[fault.Node] {
-		return 0
+	if !differs(forced, b.vals[fault.Node], b.lanes) {
+		return 0, false
 	}
 	cs.gen++
-	cs.faulty[fault.Node] = forced
-	cs.stamp[fault.Node] = cs.gen
-	evals := 0
-	for _, id32 := range gates {
-		id := int(id32)
-		g := ix.c.Gates[id]
+	if valid(cs.gen) < valid(cs.gen-1) {
+		// The stamps wrapped around: start over from a clean slate.
+		clear(cs.stamp)
+		cs.gen = 1
+	}
+	ok := valid(cs.gen)
+	cs.emit(b, int32(fault.Node), forced, visit)
+	for len(cs.heap) > 0 {
+		r := cs.pop()
+		id := int(ix.order[r])
+		g := netlist.Gate{Type: ix.typ[r], Fanin: ix.fanin[ix.faninOff[r]:ix.faninOff[r+1]]}
 		for _, f := range g.Fanin {
-			if cs.stamp[f] != cs.gen {
+			if cs.stamp[f] != ok {
 				cs.faulty[f] = b.vals[f]
-				cs.stamp[f] = cs.gen
+				cs.stamp[f] = ok
 			}
 		}
-		cs.faulty[id] = evalGateP(g, cs.faulty)
-		cs.stamp[id] = cs.gen
+		fw := evalGateP(g, cs.faulty)
 		evals++
+		if differs(fw, b.vals[id], b.lanes) {
+			cs.emit(b, int32(id), fw, visit)
+		}
 	}
-	for _, cell := range obsCells {
-		d := ix.capIn[cell]
-		gw := b.vals[d]
-		fw := cs.faulty[d] // d is the fault node or a cone gate: always stamped
-		diff := (gw.one ^ fw.one) &^ (gw.x | fw.x) & b.lanes
-		if diff != 0 {
+	return evals, true
+}
+
+// emit records node n's faulty word fw (known to differ from the good
+// word), reports the scan cells capturing it, and schedules its readers.
+func (cs *ConeSim) emit(b *Block, n int32, fw pval, visit func(cell int, lanes uint64)) {
+	ix := cs.ix
+	cs.faulty[n] = fw
+	cs.stamp[n] = valid(cs.gen)
+	gw := b.vals[n]
+	if diff := (gw.one ^ fw.one) &^ (gw.x | fw.x) & b.lanes; diff != 0 {
+		for _, cell := range ix.capCellsOf(n) {
 			visit(int(cell), diff)
 		}
 	}
-	return evals
+	q := queued(cs.gen)
+	for _, r := range ix.fanoutOf(n) {
+		if cs.stamp[r] < q {
+			cs.stamp[r] = q
+			cs.push(ix.pos[r])
+		}
+	}
+}
+
+// differs reports whether two words differ in any of the given lanes.
+func differs(a, b pval, lanes uint64) bool {
+	return ((a.one^b.one)|(a.x^b.x))&lanes != 0
+}
+
+// push adds a rank to the min-heap.
+func (cs *ConeSim) push(rank int32) {
+	h := append(cs.heap, rank)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= rank {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = rank
+	cs.heap = h
+}
+
+// pop removes and returns the smallest rank on the heap.
+func (cs *ConeSim) pop() int32 {
+	h := cs.heap
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if last <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	cs.heap = h
+	return top
 }
 
 // CellCount returns the scan-cell count of the indexed circuit (the width

@@ -40,11 +40,11 @@ func randVec(r *rand.Rand, n int) logic.Vector {
 	return v
 }
 
-// TestConeDiffMatchesScalar is the kernel's ground truth: for every fault,
-// FaultDiff's per-cell difference lanes must equal what the scalar simulator
-// reports pattern by pattern (capture differs, both values known), and no
-// scan cell outside the cone's observation set may ever differ.
-func TestConeDiffMatchesScalar(t *testing.T) {
+// TestPropagateMatchesScalar is the kernel's ground truth: for every fault
+// site × stuck value × pattern, Propagate's per-cell difference lanes must
+// equal what the scalar simulator reports (capture differs, both values
+// known), with each cell visited at most once per call.
+func TestPropagateMatchesScalar(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		c := coneCircuit(t, seed)
 		r := rand.New(rand.NewSource(seed * 77))
@@ -80,21 +80,25 @@ func TestConeDiffMatchesScalar(t *testing.T) {
 			t.Fatalf("CellCount = %d", ix.CellCount())
 		}
 		cs := ix.NewSim()
-		for node := 0; node < c.NumGates(); node += 3 {
+		for node := 0; node < c.NumGates(); node++ {
 			switch c.Gates[node].Type {
 			case netlist.DFF, netlist.NonScanDFF, netlist.Tie0, netlist.Tie1, netlist.TieX:
 				continue
 			}
 			for _, sa := range []logic.V{logic.Zero, logic.One} {
 				fault := Fault{Node: node, StuckAt: sa}
-				gates, cells := cs.BuildCone(node)
 				gotLanes := make(map[int]uint64)
-				cs.FaultDiff(blk, fault, gates, cells, func(cell int, lanes uint64) {
+				evals, activated := cs.Propagate(blk, fault, func(cell int, lanes uint64) {
+					if _, dup := gotLanes[cell]; dup {
+						t.Fatalf("seed %d fault %d/sa%v: cell %d visited twice", seed, node, sa, cell)
+					}
+					if lanes>>uint(n) != 0 {
+						t.Fatalf("seed %d fault %d/sa%v: cell %d differs in a lane past pattern %d", seed, node, sa, cell, n)
+					}
 					gotLanes[cell] = lanes
 				})
-				inCone := make(map[int]bool, len(cells))
-				for _, cell := range cells {
-					inCone[int(cell)] = true
+				if !activated && (evals != 0 || len(gotLanes) != 0) {
+					t.Fatalf("seed %d fault %d/sa%v: inactive fault evaluated %d gates", seed, node, sa, evals)
 				}
 				for k := 0; k < n; k++ {
 					bad, _, err := scalar.Capture(loads[k], pis[k], fault)
@@ -102,15 +106,11 @@ func TestConeDiffMatchesScalar(t *testing.T) {
 						t.Fatal(err)
 					}
 					for cell := range bad {
-						diff := good[k][cell] != bad[cell] &&
+						want := good[k][cell] != bad[cell] &&
 							good[k][cell] != logic.X && bad[cell] != logic.X
-						if diff && !inCone[cell] {
-							t.Fatalf("seed %d fault %d/sa%v: cell %d differs outside cone", seed, node, sa, cell)
-						}
-						want := diff
 						got := gotLanes[cell]>>uint(k)&1 == 1
 						if got != want {
-							t.Fatalf("seed %d fault %d/sa%v pattern %d cell %d: FaultDiff lane %v, scalar %v",
+							t.Fatalf("seed %d fault %d/sa%v pattern %d cell %d: Propagate lane %v, scalar %v",
 								seed, node, sa, k, cell, got, want)
 						}
 					}
@@ -120,10 +120,10 @@ func TestConeDiffMatchesScalar(t *testing.T) {
 	}
 }
 
-// Cone gates must come back in a valid evaluation order and the observing
-// cells sorted; the block retained by CaptureBlock must stay valid across
-// later Capture calls on the same PSim.
-func TestConeBuildAndBlockImmutability(t *testing.T) {
+// The rank index must invert the topological order, every Propagate must
+// leave the event heap empty, and neither Propagate nor a later Capture on
+// the same PSim may disturb the block retained by CaptureBlock.
+func TestRankIndexAndBlockImmutability(t *testing.T) {
 	c := coneCircuit(t, 5)
 	r := rand.New(rand.NewSource(9))
 	n := 16
@@ -140,29 +140,29 @@ func TestConeBuildAndBlockImmutability(t *testing.T) {
 	}
 	before := make([]pval, len(blk.vals))
 	copy(before, blk.vals)
-	// Reusing the PSim must not disturb the retained block.
+
+	ix := NewConeIndex(c)
+	for _, id := range c.EvalOrder() {
+		if ix.order[ix.pos[id]] != int32(id) {
+			t.Fatalf("order[pos[%d]] = %d", id, ix.order[ix.pos[id]])
+		}
+	}
+	cs := ix.NewSim()
+	for node := 0; node < c.NumGates(); node++ {
+		for _, sa := range []logic.V{logic.Zero, logic.One} {
+			cs.Propagate(blk, Fault{Node: node, StuckAt: sa}, func(int, uint64) {})
+			if len(cs.heap) != 0 {
+				t.Fatalf("node %d: %d ranks left on the event heap", node, len(cs.heap))
+			}
+		}
+	}
+	// Reusing the PSim must not disturb the retained block either.
 	if _, err := ps.Capture(loads[:1], pis[:1]); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {
 		if blk.vals[i] != before[i] {
-			t.Fatal("CaptureBlock state mutated by a later Capture")
-		}
-	}
-
-	ix := NewConeIndex(c)
-	cs := ix.NewSim()
-	for node := 0; node < c.NumGates(); node += 7 {
-		gates, cells := cs.BuildCone(node)
-		for i := 1; i < len(gates); i++ {
-			if ix.pos[gates[i-1]] >= ix.pos[gates[i]] {
-				t.Fatalf("node %d: cone gates not in topological order", node)
-			}
-		}
-		for i := 1; i < len(cells); i++ {
-			if cells[i-1] >= cells[i] {
-				t.Fatalf("node %d: observing cells not strictly sorted", node)
-			}
+			t.Fatal("retained block mutated by Propagate or a later Capture")
 		}
 	}
 

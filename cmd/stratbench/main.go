@@ -11,11 +11,6 @@
 // count must equal the plan's accounted ResidualX exactly. Unverified lanes
 // are reported but excluded from the frontier.
 //
-// Alongside the standard mask+cancel accounting, each lane reports what the
-// same plan would cost under the weight-3 X-code compactor architecture
-// (internal/xcode): the corrupted-channel residual and its control bits —
-// the objective the xcode-hybrid strategy optimizes for.
-//
 // Usage:
 //
 //	stratbench [-workloads ckt-b8,flow-small,...] [-strategies all]
@@ -42,7 +37,6 @@ import (
 	"xhybrid/internal/tester"
 	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
-	"xhybrid/internal/xcode"
 	"xhybrid/internal/xmap"
 )
 
@@ -75,12 +69,6 @@ type result struct {
 	CancelBits int     `json:"cancelBits"`
 	TotalBits  int     `json:"totalBits"`
 	WallMs     float64 `json:"wallMs"`
-	// XCodeChannels / XCodeResidual / XCodeTotalBits price the same plan
-	// under the weight-3 X-code compactor: corrupted channel captures
-	// instead of raw X's.
-	XCodeChannels  int `json:"xcodeChannels"`
-	XCodeResidual  int `json:"xcodeResidual"`
-	XCodeTotalBits int `json:"xcodeTotalBits"`
 	// Verified: the replayed plan masked no observable capture, removed
 	// exactly the accounted X's, and stayed within the planned halt budget
 	// (plus the exact partitioned-canceler check on narrow geometries).
@@ -259,17 +247,13 @@ func prepare(name string) (*input, error) {
 		mSize: min(32, geom.Chains), q: 7}, nil
 }
 
-// race runs every lane on one workload, verifies each plan, prices it
-// under both architectures, and marks the verified Pareto frontier.
+// race runs every lane on one workload, verifies each plan, and marks the
+// verified Pareto frontier.
 func race(in *input, lanes []lane, workers int) workloadReport {
 	rep := workloadReport{
 		Workload: in.name,
 		Cells:    in.m.Cells(), Chains: in.geom.Chains, Patterns: in.m.Patterns(),
 		TotalX: in.m.TotalX(), MISRSize: in.mSize, Q: in.q,
-	}
-	code, err := xcode.Build(in.geom.Chains)
-	if err != nil {
-		die(err)
 	}
 	for _, ln := range lanes {
 		r := result{Strategy: ln.name}
@@ -294,26 +278,13 @@ func race(in *input, lanes []lane, workers int) workloadReport {
 		r.MaskBits = res.MaskBits
 		r.CancelBits = res.CancelBits
 		r.TotalBits = res.TotalBits
-
-		r.XCodeChannels = code.Channels
-		r.XCodeResidual = planXCodeResidual(code, in, res)
-		r.XCodeTotalBits = res.MaskBits + xcancel.ControlBits(r.XCodeResidual, in.mSize, in.q)
-
 		r.Verified, r.ExactCanceler, r.Error = verify(in, res)
 		rep.Results = append(rep.Results, r)
-		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits (xcode %d) in %.0f ms, verified=%t\n",
-			in.name, ln.name, r.TotalBits, r.XCodeTotalBits, r.WallMs, r.Verified)
+		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits in %.0f ms, verified=%t\n",
+			in.name, ln.name, r.TotalBits, r.WallMs, r.Verified)
 	}
 	markFrontier(rep.Results)
 	return rep
-}
-
-func planXCodeResidual(code *xcode.Code, in *input, res *core.Result) int {
-	total := 0
-	for _, part := range res.Partitions {
-		total += xcode.Residual(code, in.m, in.geom, part.Patterns)
-	}
-	return total
 }
 
 // verify replays the plan through the hardware models. All geometries get

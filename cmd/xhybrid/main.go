@@ -150,6 +150,12 @@ func startObs(stats bool, trace, cpuprofile, memprofile, pprofAddr string) (*xhy
 
 // reportMD prints a markdown report of the analysis and plan.
 func reportMD(x *xhybrid.XLocations, opt xhybrid.Options) {
+	// Normalized first, so the header prints the canonical strategy name
+	// and the engine's m/q defaults rather than the raw flag spelling.
+	opt, err := opt.Normalized()
+	if err != nil {
+		die(err)
+	}
 	a := xhybrid.Analyze(x)
 	plan, err := xhybrid.Partition(x, opt)
 	if err != nil {
@@ -166,7 +172,7 @@ func reportMD(x *xhybrid.XLocations, opt xhybrid.Options) {
 		a.LargestGroupSize, a.LargestGroupCount, a.LargestGroupCorrelation)
 	fmt.Printf("| 90%% of X's in | %.2f%% of cells |\n", 100*a.CellFractionFor90PctX)
 	fmt.Printf("| Spatial adjacency | %.1f%% of X's |\n\n", 100*a.IntraAdjacentFraction)
-	fmt.Printf("## Partitioning (%s strategy, m=%d q=%d)\n\n", orDefault(opt.Strategy, "paper"), orZero(opt.MISRSize, 32), orZero(opt.Q, 7))
+	fmt.Printf("## Partitioning (%s strategy, m=%d q=%d)\n\n", opt.Strategy, opt.MISRSize, opt.Q)
 	fmt.Printf("| Round | Split cell | Cost before | Cost after | Verdict |\n|---|---|---|---|---|\n")
 	for _, r := range plan.Rounds {
 		v := "accepted"
@@ -186,20 +192,6 @@ func reportMD(x *xhybrid.XLocations, opt xhybrid.Options) {
 	fmt.Printf("| Proposed hybrid | %d | 1.00x |\n", plan.TotalBits)
 	fmt.Printf("\nMasked %d of %d X's; residual %d. Normalized test time %.3f (canceling-only %.3f).\n",
 		plan.MaskedX, plan.TotalX, plan.ResidualX, plan.TestTimeHybrid, plan.TestTimeCancelOnly)
-}
-
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
-}
-
-func orZero(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
 }
 
 // verify builds a generated circuit, simulates it, assembles the hybrid

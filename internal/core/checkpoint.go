@@ -129,7 +129,7 @@ func (e *evaluator) replay(cp *Checkpoint, root *partState, rng *rand.Rand) (liv
 
 	live = []*partState{root}
 	masked = root.maskedX
-	maskBits = e.contrib(root)
+	maskBits = e.params.maskImageBits()
 	cost = maskBits + e.cancelBits(masked)
 	for i, r := range cp.Rounds {
 		if err := e.err(); err != nil {
@@ -148,7 +148,7 @@ func (e *evaluator) replay(cp *Checkpoint, root *partState, rng *rand.Rand) (liv
 		xs, rs := e.splitStates(parent, r.SplitCell)
 		e.obsDelta.Inc()
 		newMasked := masked - parent.maskedX + xs.maskedX + rs.maskedX
-		newMaskBits := maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs)
+		newMaskBits := maskBits + e.params.maskImageBits()
 		newCost := newMaskBits + e.cancelBits(newMasked)
 		if r.CostBefore != cost || r.CostAfter != newCost || r.Accepted != (newCost < cost) {
 			return fail(mismatch("round %d re-derives as cost %d->%d (accepted=%v), recorded %d->%d (accepted=%v)",

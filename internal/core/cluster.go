@@ -134,10 +134,9 @@ func RunClusteredCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result,
 	}
 	// Running totals over the live list; a merge of (i, j) into u reprices
 	// as a three-contribution swap against them.
-	masked, maskBits := 0, 0
+	masked, maskBits := 0, len(live)*e.params.maskImageBits()
 	for _, st := range live {
 		masked += st.maskedX
-		maskBits += e.contrib(st)
 	}
 	cost := maskBits + e.cancelBits(masked)
 	e.obsFull.Inc()
@@ -148,7 +147,7 @@ func RunClusteredCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result,
 	}
 	mergeCost := func(a, b, u *partState) int {
 		e.obsDelta.Inc()
-		return maskBits - e.contrib(a) - e.contrib(b) + e.contrib(u) +
+		return maskBits - e.params.maskImageBits() +
 			e.cancelBits(masked-a.maskedX-b.maskedX+u.maskedX)
 	}
 	for len(live) > 1 {
@@ -169,7 +168,7 @@ func RunClusteredCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result,
 		a, b := live[bestI], live[bestJ]
 		u := union(a, b)
 		masked += u.maskedX - a.maskedX - b.maskedX
-		maskBits += e.contrib(u) - e.contrib(a) - e.contrib(b)
+		maskBits -= e.params.maskImageBits()
 		cost = bestCost
 		next := make([]*partState, 0, len(live)-1)
 		next = append(next, u)

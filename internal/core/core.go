@@ -57,17 +57,6 @@ type Params struct {
 	Seed int64
 	// MaxRounds caps accepted partitioning rounds; 0 means unlimited.
 	MaxRounds int
-	// ElideEmptyMasks, when set, excludes partitions whose mask covers no
-	// cell from the mask control-bit accounting (the masking hardware's
-	// all-pass default). The paper always charges every partition; this is
-	// an ablation knob.
-	ElideEmptyMasks bool
-	// GreedyCandidateCap bounds the distinct splits StrategyGreedyCost
-	// evaluates per round (largest groups first); 0 means 256.
-	GreedyCandidateCap int
-	// RetryBudget bounds the candidate groups StrategyPaperRetry tries
-	// after a cost rejection before stopping; 0 means 8.
-	RetryBudget int
 	// MaskBitsPerPartition overrides the control-bit price of one mask
 	// image (0 = the paper's Geom.Cells()). Lower prices model compressed
 	// mask delivery (see internal/xmask encoders) and shift the cost
@@ -115,13 +104,6 @@ func (p Params) maskImageBits() int {
 	return p.Geom.Cells()
 }
 
-func (p Params) retryBudget() int {
-	if p.RetryBudget <= 0 {
-		return 8
-	}
-	return p.RetryBudget
-}
-
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if err := p.Geom.Validate(); err != nil {
@@ -135,9 +117,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxRounds < 0 {
 		return fmt.Errorf("core: negative MaxRounds")
-	}
-	if p.RetryBudget < 0 {
-		return fmt.Errorf("core: negative RetryBudget")
 	}
 	if p.MaskBitsPerPartition < 0 {
 		return fmt.Errorf("core: negative MaskBitsPerPartition")
@@ -200,8 +179,8 @@ type Result struct {
 	// ResidualX = TotalX - MaskedX flows into the X-canceling MISR.
 	ResidualX int
 
-	// MaskBits is the masking control-bit volume (cells * partitions,
-	// minus elided empty masks if configured).
+	// MaskBits is the masking control-bit volume (one mask image per
+	// partition, empty masks included, as the paper charges).
 	MaskBits int
 	// CancelBits is the X-canceling control-bit volume for ResidualX.
 	CancelBits int

@@ -30,9 +30,6 @@ func naiveCost(m *xmap.XMap, params Params, parts []gf2.Vec) int {
 			}
 		}
 		masked += cells * size
-		if params.ElideEmptyMasks && cells == 0 {
-			continue
-		}
 		maskBits += params.maskImageBits()
 	}
 	return maskBits + xcancel.ControlBits(totalX-masked, params.Cancel.MISR.Size, params.Cancel.Q)
@@ -99,11 +96,6 @@ func TestIncrementalCostsMatchNaiveReplay(t *testing.T) {
 	fixtures = append(fixtures, fixture{
 		name: "fig4_q2",
 		gen:  func() (*xmap.XMap, Params) { return fig4(), fig4Params(2) },
-	})
-	fixtures = append(fixtures, fixture{
-		name:   "fig4_q1_elide",
-		gen:    func() (*xmap.XMap, Params) { return fig4(), fig4Params(1) },
-		mutate: func(p *Params) { p.ElideEmptyMasks = true },
 	})
 	fixtures = append(fixtures, fixture{
 		name:   "fig4_q2_cheapmask",

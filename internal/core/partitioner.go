@@ -62,7 +62,7 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	root.ensureStats(e, nil)
 	live := []*partState{root}
 	masked := root.maskedX
-	maskBits := e.contrib(root)
+	maskBits := e.params.maskImageBits()
 	cost := maskBits + e.cancelBits(masked)
 	e.obsFull.Inc()
 
@@ -97,7 +97,7 @@ outer:
 				return nil, err
 			}
 			// The built-in strategies only emit valid splits; this guards
-			// the engine against externally registered ones.
+			// the engine against a Params.Strategy that does not.
 			if cand.Partition < 0 || cand.Partition >= len(live) {
 				return nil, fmt.Errorf("core: strategy %s selected partition %d of %d", strat.Name(), cand.Partition, len(live))
 			}
@@ -110,15 +110,15 @@ outer:
 			}
 			e.obsRounds.Inc()
 			e.obsScored.Inc()
-			// Delta pricing: the split replaces the parent's contribution
-			// with its two sides'. The greedy selector already interned the
-			// winning candidate's sides, so this re-pricing is pure cache
-			// hits there.
+			// Delta pricing: the split replaces the parent's masked X's
+			// with its two sides' and adds one mask image. The greedy
+			// selector already interned the winning candidate's sides, so
+			// this re-pricing is pure cache hits there.
 			parent := live[cand.Partition]
 			xs, rs := e.splitStates(parent, cand.Cell)
 			e.obsDelta.Inc()
 			newMasked := masked - parent.maskedX + xs.maskedX + rs.maskedX
-			newMaskBits := maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs)
+			newMaskBits := maskBits + e.params.maskImageBits()
 			newCost := newMaskBits + e.cancelBits(newMasked)
 			r := Round{
 				Round:          round,
@@ -268,10 +268,11 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 	return best
 }
 
-// selectGreedy evaluates the cost delta of every distinct candidate split
-// and returns the best strictly improving one, or nil. Phase 1 assembles
-// each partition's deduplicated, gain-ranked candidate cells — memoized on
-// the partition, so only freshly split partitions enumerate anything.
+// selectGreedy evaluates the cost delta of each partition's top
+// greedyCandidateCap distinct candidate splits and returns the best strictly
+// improving one, or nil. Phase 1 assembles each partition's deduplicated,
+// gain-ranked candidate cells — memoized on the partition, so only freshly
+// split partitions enumerate anything.
 // Phase 2 prices every candidate by contribution swap against the running
 // totals; side states are interned by content, so a candidate unchanged
 // since the last round costs two hash probes instead of two full-map scans.
@@ -279,15 +280,11 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 // enumeration order (partition index, then gain rank), so the pick matches
 // a serial scan exactly.
 func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) *Split {
-	limit := e.params.GreedyCandidateCap
-	if limit <= 0 {
-		limit = 256
-	}
 	e.pool.ForEach(len(live), func(i int) {
 		if e.canceled() || live[i].size < 2 {
 			return
 		}
-		live[i].ensureCands(e, limit)
+		live[i].ensureCands(e, greedyCandidateCap)
 	})
 	var all []Split
 	for i, st := range live {
@@ -304,6 +301,7 @@ func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) 
 	// Score every candidate concurrently, then reduce by (cost, position).
 	e.obsScored.Add(int64(len(all)))
 	costs := make([]int, len(all))
+	splitMaskBits := maskBits + e.params.maskImageBits()
 	e.pool.ForEach(len(all), func(k int) {
 		if e.canceled() {
 			return
@@ -311,8 +309,7 @@ func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) 
 		parent := live[all[k].Partition]
 		xs, rs := e.splitStates(parent, all[k].Cell)
 		e.obsDelta.Inc()
-		costs[k] = maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs) +
-			e.cancelBits(masked-parent.maskedX+xs.maskedX+rs.maskedX)
+		costs[k] = splitMaskBits + e.cancelBits(masked-parent.maskedX+xs.maskedX+rs.maskedX)
 	})
 	bestIdx := 0
 	for k := 1; k < len(all); k++ {
@@ -329,18 +326,13 @@ func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) 
 // finalize materializes the masks and the full accounting.
 func (e *evaluator) finalize(live []*partState, rounds []Round) *Result {
 	res := &Result{Rounds: rounds, TotalX: e.totalX}
-	maskBits := 0
 	for _, st := range live {
 		mask, mx := xmask.PartitionMask(e.m, st.part)
 		res.Partitions = append(res.Partitions, Partition{Patterns: st.part, Mask: mask, MaskedX: mx})
 		res.MaskedX += mx
-		if e.params.ElideEmptyMasks && mask.Cells.PopCount() == 0 {
-			continue
-		}
-		maskBits += e.params.maskImageBits()
 	}
 	res.ResidualX = res.TotalX - res.MaskedX
-	res.MaskBits = maskBits
+	res.MaskBits = len(live) * e.params.maskImageBits()
 	res.CancelBits = xcancel.ControlBits(res.ResidualX, e.params.Cancel.MISR.Size, e.params.Cancel.Q)
 	res.TotalBits = res.MaskBits + res.CancelBits
 	e.params.Obs.Set("core.partitions", int64(len(res.Partitions)))

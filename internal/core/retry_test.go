@@ -92,23 +92,6 @@ func TestPaperStopsWhereRetryContinues(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetValidation(t *testing.T) {
-	p := retryParams(StrategyPaperRetry)
-	p.RetryBudget = -1
-	if _, err := Run(retryMap(), p); err == nil {
-		t.Fatal("accepted negative retry budget")
-	}
-	// A budget of 1 degenerates to the paper behaviour.
-	p.RetryBudget = 1
-	res, err := Run(retryMap(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Partitions) != 1 {
-		t.Fatalf("budget-1 retry found %d partitions, want 1", len(res.Partitions))
-	}
-}
-
 func TestRetryNeverWorseThanPaper(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		m, geom := randMap(seed)

@@ -26,16 +26,14 @@ type partState struct {
 	// size is part.PopCount().
 	size int
 
-	// statsOnce guards maskedX/maskCells: candidate scoring fans out over
-	// the pool and two in-flight candidates may share a side state.
+	// statsOnce guards maskedX: candidate scoring fans out over the pool
+	// and two in-flight candidates may share a side state.
 	// statsReady lets scanPair skip sides that are already filled without
 	// consuming their Once.
 	statsOnce  sync.Once
 	statsReady atomic.Bool
 	// maskedX is the number of X's the partition's shared mask removes.
 	maskedX int
-	// maskCells is the number of cells that mask covers.
-	maskCells int
 
 	// cells are the slots into the X-map's XCells() whose cells capture at
 	// least one in-partition X — the only cells any scan of this partition
@@ -136,10 +134,10 @@ func (e *evaluator) internedStates() []*partState {
 	return out
 }
 
-// ensureStats computes the partition's maskedX and maskCells in a single
-// pass over the cells that can matter. A partition carrying its own cell
-// index gets the stats for free — a cell is fully X exactly when its stored
-// in-partition count equals the partition size, no bitset is touched.
+// ensureStats computes the partition's maskedX in a single pass over the
+// cells that can matter. A partition carrying its own cell index gets the
+// stats for free — a cell is fully X exactly when its stored in-partition
+// count equals the partition size, no bitset is touched.
 // Otherwise one popcount scan runs over hint (any superset of the
 // intersecting slots, typically the parent partition's index) or, failing
 // that, every X-capturing cell; the scan chunks over the pool with a
@@ -156,7 +154,6 @@ func (st *partState) ensureStats(e *evaluator, hint []int32) {
 			for _, n := range st.counts {
 				if int(n) == st.size {
 					st.maskedX += st.size
-					st.maskCells++
 				}
 			}
 			return
@@ -167,10 +164,9 @@ func (st *partState) ensureStats(e *evaluator, hint []int32) {
 		if hint != nil {
 			n = len(hint)
 		}
-		type partial struct{ maskedX, maskCells int }
-		partials := make([]partial, e.pool.Workers())
+		partials := make([]int, e.pool.Workers())
 		e.pool.Chunks(n, func(c, lo, hi int) {
-			var p partial
+			p := 0
 			for i := lo; i < hi; i++ {
 				if i&cancelCheckMask == 0 && e.canceled() {
 					break
@@ -180,15 +176,13 @@ func (st *partState) ensureStats(e *evaluator, hint []int32) {
 					slot = int(hint[i])
 				}
 				if cells[slot].Patterns.PopCountAnd(st.part) == st.size {
-					p.maskedX += st.size
-					p.maskCells++
+					p += st.size
 				}
 			}
 			partials[c] = p
 		})
 		for _, p := range partials {
-			st.maskedX += p.maskedX
-			st.maskCells += p.maskCells
+			st.maskedX += p
 		}
 	})
 }
@@ -331,7 +325,7 @@ func (e *evaluator) scanPair(parent, xs, rs *partState) {
 	e.obsRecomputes.Inc()
 	cells := e.m.XCells()
 	n := len(parent.cells)
-	type partial struct{ mxX, mcX, mxR, mcR int }
+	type partial struct{ mxX, mxR int }
 	partials := make([]partial, e.pool.Workers())
 	e.pool.Chunks(n, func(c, lo, hi int) {
 		var p partial
@@ -342,11 +336,9 @@ func (e *evaluator) scanPair(parent, xs, rs *partState) {
 			nXs := cells[parent.cells[i]].Patterns.PopCountAnd(xs.part)
 			if nXs == xs.size {
 				p.mxX += xs.size
-				p.mcX++
 			}
 			if int(parent.counts[i])-nXs == rs.size {
 				p.mxR += rs.size
-				p.mcR++
 			}
 		}
 		partials[c] = p
@@ -354,44 +346,19 @@ func (e *evaluator) scanPair(parent, xs, rs *partState) {
 	var total partial
 	for _, p := range partials {
 		total.mxX += p.mxX
-		total.mcX += p.mcX
 		total.mxR += p.mxR
-		total.mcR += p.mcR
 	}
 	xs.statsOnce.Do(func() {
-		xs.maskedX, xs.maskCells = total.mxX, total.mcX
+		xs.maskedX = total.mxX
 		xs.statsReady.Store(true)
 	})
 	rs.statsOnce.Do(func() {
-		rs.maskedX, rs.maskCells = total.mxR, total.mcR
+		rs.maskedX = total.mxR
 		rs.statsReady.Store(true)
 	})
-}
-
-// contrib returns the partition's mask control-bit contribution. Stats must
-// be filled.
-func (e *evaluator) contrib(st *partState) int {
-	if e.params.ElideEmptyMasks && st.maskCells == 0 {
-		return 0
-	}
-	return e.params.maskImageBits()
 }
 
 // cancelBits prices the X-canceling of everything the masks leave behind.
 func (e *evaluator) cancelBits(masked int) int {
 	return xcancel.ControlBits(e.totalX-masked, e.params.Cancel.MISR.Size, e.params.Cancel.Q)
-}
-
-// costOf sums the full cost of a partition list from its cached stats:
-// cost = sum of mask contributions + cancel bits of the residual. The
-// running-total bookkeeping in RunCtx and the delta scoring are exact
-// integer rearrangements of this sum.
-func (e *evaluator) costOf(states []*partState) int {
-	e.obsFull.Inc()
-	masked, maskBits := 0, 0
-	for _, st := range states {
-		masked += st.maskedX
-		maskBits += e.contrib(st)
-	}
-	return maskBits + e.cancelBits(masked)
 }

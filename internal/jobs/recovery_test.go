@@ -14,7 +14,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"xhybrid"
 	"xhybrid/internal/obs"
@@ -191,5 +193,102 @@ func TestListSkipsHalfCreatedJob(t *testing.T) {
 	}
 	if _, err := m.Get(context.Background(), "torn-job"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(torn-job) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRecoverRemovedStrategy: jobs spooled before the xcode-hybrid planner
+// was removed still name it on disk. Recovery must end each one in a clean
+// failure that names the unknown strategy and lists the accepted
+// vocabulary. That means no panic, and no walk down the resume ladder: the
+// checkpoints are not corrupt, the strategy is gone, so trying the older
+// checkpoint or a from-scratch run could not help.
+func TestRecoverRemovedStrategy(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	// A crash-interrupted partition job with a checkpoint pair, rewritten
+	// to name the removed strategy in its options and both checkpoints.
+	partID, _, _, _ := spoolCompletedJob(t, dir)
+	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := store.ReadMeta(ctx, partID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.Options.Strategy = "xcode-hybrid"
+	if err := store.WriteMeta(ctx, meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{checkpointFile, checkpointPrevFile} {
+		path := filepath.Join(dir, partID, f)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		raw["strategy"] = json.RawMessage(`"xcode-hybrid"`)
+		if data, err = json.Marshal(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A submitted-but-never-run flow job whose spec names it. Written
+	// straight to the spool: SubmitFlow would reject the spec today.
+	spec := testFlowSpec()
+	spec.Strategy = "xcode-hybrid"
+	flowMeta := Meta{
+		ID:      "pre-upgrade-flow",
+		Kind:    KindFlow,
+		State:   StateSubmitted,
+		Options: Options{Workers: spec.Workers, CheckpointEvery: 1},
+		Created: time.Now().UTC(),
+	}
+	if err := store.CreateFlowJob(ctx, flowMeta, &spec); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.New()
+	m, err := Open(dir, Config{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	vocab := xhybrid.Strategies()
+	for alias := range xhybrid.StrategyAliases() {
+		vocab = append(vocab, alias)
+	}
+	for _, id := range []string{partID, flowMeta.ID} {
+		st := waitTerminal(t, m, id)
+		if st.State != StateFailed {
+			t.Fatalf("job %s = %s, want failed", id, st.State)
+		}
+		if !strings.Contains(st.Error, `unknown strategy "xcode-hybrid"`) {
+			t.Errorf("job %s error %q does not name the unknown strategy", id, st.Error)
+		}
+		for _, name := range vocab {
+			if !strings.Contains(st.Error, name) {
+				t.Errorf("job %s error %q does not list %q", id, st.Error, name)
+			}
+		}
+	}
+	snap := rec.Snapshot()
+	for name, want := range map[string]int64{
+		"jobs.recovered":            2,
+		"jobs.failed":               2,
+		"jobs.completed":            0,
+		"jobs.checkpoints.rejected": 0,
+		"jobs.checkpoints.written":  0,
+	} {
+		if got := snap.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -15,25 +15,31 @@ import (
 // every submitting endpoint — synchronous /v1/partition, async /v1/jobs,
 // and /v1/flow — answers 400 with a JSON error body that enumerates the
 // full registry vocabulary, so a client can correct itself from the
-// response alone.
+// response alone. The removed "xcode-hybrid" planner gets the same answer.
 func TestUnknownStrategy400Bodies(t *testing.T) {
 	s, _ := newJobsServer(t, jobs.Config{})
 
-	badFlow, err := json.Marshal(xhybrid.FlowSpec{
-		Cells: 256, Chains: 16, Patterns: 64, MISRSize: 8, Q: 2,
-		Strategy: "simulated-annealing",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
+	type testCase struct {
 		name   string
 		target string
 		body   []byte
-	}{
-		{"partition", "/v1/partition?m=10&q=2&strategy=simulated-annealing", fixtureBody(t)},
-		{"jobs", "/v1/jobs?m=10&q=2&strategy=simulated-annealing", fixtureBody(t)},
-		{"flow", "/v1/flow", badFlow},
+	}
+	var cases []testCase
+	for _, bad := range []struct{ suffix, name string }{
+		{"", "simulated-annealing"},
+		{"_xcode-hybrid", "xcode-hybrid"},
+	} {
+		badFlow, err := json.Marshal(xhybrid.FlowSpec{
+			Cells: 256, Chains: 16, Patterns: 64, MISRSize: 8, Q: 2,
+			Strategy: bad.name,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			testCase{"partition" + bad.suffix, "/v1/partition?m=10&q=2&strategy=" + bad.name, fixtureBody(t)},
+			testCase{"jobs" + bad.suffix, "/v1/jobs?m=10&q=2&strategy=" + bad.name, fixtureBody(t)},
+			testCase{"flow" + bad.suffix, "/v1/flow", badFlow})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

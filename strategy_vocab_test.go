@@ -88,20 +88,23 @@ func TestStrategyVocabularyAcrossSurfaces(t *testing.T) {
 // TestStrategyVocabularyRejection asserts every surface rejects an unknown
 // name with an error that wraps core.ErrUnknownStrategy and enumerates the
 // full accepted vocabulary — the contract that makes a typo on any surface
-// self-documenting.
+// self-documenting. The removed "xcode-hybrid" planner is one such name:
+// old clients and spooled jobs may still send it.
 func TestStrategyVocabularyRejection(t *testing.T) {
 	for _, sf := range surfaces {
-		_, err := sf.resolve("simulated-annealing")
-		if err == nil {
-			t.Errorf("%s accepted an unknown strategy", sf.name)
-			continue
-		}
-		if !errors.Is(err, core.ErrUnknownStrategy) {
-			t.Errorf("%s error %v does not wrap ErrUnknownStrategy", sf.name, err)
-		}
-		for _, name := range core.StrategyVocabulary() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s error %q does not enumerate %q", sf.name, err, name)
+		for _, bad := range []string{"simulated-annealing", "xcode-hybrid"} {
+			_, err := sf.resolve(bad)
+			if err == nil {
+				t.Errorf("%s accepted unknown strategy %q", sf.name, bad)
+				continue
+			}
+			if !errors.Is(err, core.ErrUnknownStrategy) {
+				t.Errorf("%s error %v does not wrap ErrUnknownStrategy", sf.name, err)
+			}
+			for _, name := range core.StrategyVocabulary() {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("%s error %q does not enumerate %q", sf.name, err, name)
+				}
 			}
 		}
 	}
@@ -124,5 +127,9 @@ func TestFacadeVocabularyExports(t *testing.T) {
 	}
 	if got := xhybrid.StrategyAliases()["greedy"]; got != "greedy-cost" {
 		t.Fatalf(`facade alias "greedy" = %q`, got)
+	}
+	want := []string{"greedy-cost", "paper", "paper-random", "paper-retry"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("facade exports %v, want %v", names, want)
 	}
 }

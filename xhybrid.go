@@ -156,9 +156,8 @@ type Options struct {
 	// Q is the number of X-free combinations per halt (default 7).
 	Q int
 	// Strategy selects the split rule by its registry name: "paper"
-	// (default), "paper-random", "paper-retry", "greedy-cost" (accepted
-	// alias "greedy") or "xcode-hybrid". Strategies enumerates the full
-	// vocabulary; an unknown name returns an error wrapping
+	// (default), "paper-random", "paper-retry" or "greedy-cost" (accepted
+	// alias "greedy"). Strategies enumerates the full vocabulary; an unknown name returns an error wrapping
 	// ErrUnknownStrategy that lists it.
 	Strategy string
 	// Seed drives "paper-random".
@@ -195,6 +194,13 @@ type Options struct {
 // unknown strategy returns an error wrapping ErrUnknownStrategy that
 // enumerates the registry vocabulary.
 func (o Options) Normalized() (Options, error) {
+	o, _, err := o.normalize()
+	return o, err
+}
+
+// normalize is Normalized that also returns the resolved strategy, so
+// params looks the name up once.
+func (o Options) normalize() (Options, core.Strategy, error) {
 	if o.MISRSize == 0 {
 		o.MISRSize = 32
 	}
@@ -203,24 +209,20 @@ func (o Options) Normalized() (Options, error) {
 	}
 	strat, err := core.LookupStrategy(o.Strategy)
 	if err != nil {
-		return o, err
+		return o, nil, err
 	}
 	o.Strategy = strat.Name()
-	return o, nil
+	return o, strat, nil
 }
 
 func (o Options) params(geom scan.Geometry) (core.Params, error) {
-	o, err := o.Normalized()
+	o, strat, err := o.normalize()
 	if err != nil {
 		return core.Params{}, fmt.Errorf("xhybrid: %w", err)
 	}
 	cfg, err := misr.Standard(o.MISRSize)
 	if err != nil {
 		return core.Params{}, err
-	}
-	strat, err := core.LookupStrategy(o.Strategy)
-	if err != nil {
-		return core.Params{}, fmt.Errorf("xhybrid: %w", err)
 	}
 	return core.Params{
 		Geom:            geom,

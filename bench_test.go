@@ -408,19 +408,16 @@ func BenchmarkGaussianElimination(b *testing.B) {
 }
 
 // BenchmarkEndToEndFlow measures Build + hardware replay on a circuit
-// workload (the cmd/xhybrid verify path).
+// workload (the flow's partition and replay stages).
 func BenchmarkEndToEndFlow(b *testing.B) {
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "flowbench", ScanCells: 128, PIs: 8, XClusters: 4, XFanout: 5, Seed: 21,
+	xb, err := flow.BuildXMap(context.Background(), flow.Spec{
+		Name: "flowbench", Cells: 128, Chains: 16, PIs: 8, XClusters: 4, XFanout: 5,
+		CircuitSeed: 21, StimSeed: 17, Patterns: 80, MISRSize: 16,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	geom := scan.MustGeometry(16, 8)
-	set, m, err := workload.FromCircuit(ckt, geom, 80, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
+	geom, set, m := xb.Geom, xb.Responses, xb.XMap
 	params := core.Params{Geom: geom, Cancel: xcancel.Config{MISR: misr.MustStandard(16), Q: 3}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,11 +5,9 @@
 //
 // Every lane's plan is verified before it may score: the plan is replayed
 // through the real hardware models (mask stage → spatial compactor →
-// X-canceling MISR, flow.VerifyResponses), and on narrow geometries
-// (chains <= 64, where the response-level canceler can take one input per
-// chain) additionally through the partitioned canceler, whose observed X
-// count must equal the plan's accounted ResidualX exactly. Unverified lanes
-// are reported but excluded from the frontier.
+// X-canceling MISR) and judged by flow.VerifyResponses, the same verdict
+// the circuit pipeline reports. Unverified lanes are reported but excluded
+// from the frontier.
 //
 // Usage:
 //
@@ -71,10 +69,8 @@ type result struct {
 	WallMs     float64 `json:"wallMs"`
 	// Verified: the replayed plan masked no observable capture, removed
 	// exactly the accounted X's, and stayed within the planned halt budget
-	// (plus the exact partitioned-canceler check on narrow geometries).
+	// (flow.VerifyReport.Violation is empty).
 	Verified bool `json:"verified"`
-	// ExactCanceler reports whether the chains<=64 exact check ran.
-	ExactCanceler bool `json:"exactCanceler"`
 	// Frontier marks the verified Pareto-optimal lanes over
 	// (totalBits, wallMs) within the workload.
 	Frontier bool   `json:"frontier"`
@@ -278,7 +274,8 @@ func race(in *input, lanes []lane, workers int) workloadReport {
 		r.MaskBits = res.MaskBits
 		r.CancelBits = res.CancelBits
 		r.TotalBits = res.TotalBits
-		r.Verified, r.ExactCanceler, r.Error = verify(in, res)
+		r.Error = verify(in, res)
+		r.Verified = r.Error == ""
 		rep.Results = append(rep.Results, r)
 		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits in %.0f ms, verified=%t\n",
 			in.name, ln.name, r.TotalBits, r.WallMs, r.Verified)
@@ -287,70 +284,22 @@ func race(in *input, lanes []lane, workers int) workloadReport {
 	return rep
 }
 
-// verify replays the plan through the hardware models. All geometries get
-// the full program replay (mask stage → compactor → canceling MISR, the
-// pipeline's stage-6 check, with the X's left at the mask output equal to
-// the accounted ResidualX); geometries narrow enough for a one-input-per-
-// chain MISR additionally run the partitioned canceler and demand its
-// observed X count equal the accounted ResidualX exactly.
-func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
+// verify replays the plan through the hardware models (mask stage →
+// compactor → canceling MISR, the pipeline's stage-6 check) and returns
+// flow.VerifyResponses' verdict: "" when the plan verified, otherwise what
+// failed.
+func verify(in *input, res *core.Result) string {
 	prog, err := flow.Assemble(res, in.geom,
 		xcancel.Config{MISR: misr.MustStandard(in.mSize), Q: in.q},
 		tester.Config{Channels: in.mSize, OverlapMaskLoad: true}, nil)
 	if err != nil {
-		return false, false, "assemble: " + err.Error()
+		return "assemble: " + err.Error()
 	}
 	vr, err := flow.VerifyResponses(prog, in.responses)
 	if err != nil {
-		return false, false, "replay: " + err.Error()
+		return "replay: " + err.Error()
 	}
-	planned := xcancel.Halts(res.ResidualX, in.mSize, in.q)
-	switch {
-	case vr.ObservableMasked != 0:
-		return false, false, fmt.Sprintf("replay masked %d observable captures", vr.ObservableMasked)
-	case vr.MaskedX != res.MaskedX:
-		return false, false, fmt.Sprintf("replay masked %d X's, plan accounts %d", vr.MaskedX, res.MaskedX)
-	case vr.UnmaskedX != res.ResidualX:
-		return false, false, fmt.Sprintf("replay left %d X's unmasked, plan accounts %d", vr.UnmaskedX, res.ResidualX)
-	case vr.ResidualX > res.ResidualX:
-		return false, false, fmt.Sprintf("replay residual %d exceeds accounted %d", vr.ResidualX, res.ResidualX)
-	case vr.Halts > planned:
-		return false, false, fmt.Sprintf("replay ran %d halts, schedule planned %d", vr.Halts, planned)
-	}
-	if in.geom.Chains > 64 {
-		return true, false, ""
-	}
-	// Narrow geometry: the response-level canceler can observe every chain
-	// directly, so its X count must match the accounting bit for bit.
-	sets := make([]xcancel.PatternSet, len(res.Partitions))
-	for i, p := range res.Partitions {
-		sets[i] = p.Patterns
-	}
-	subs, err := xcancel.SplitByPartition(in.responses, sets)
-	if err != nil {
-		return false, false, "split: " + err.Error()
-	}
-	for i, sub := range subs {
-		masked := scan.NewResponseSet(in.responses.Geom)
-		for _, resp := range sub.Responses {
-			if err := masked.Append(res.Partitions[i].Mask.Apply(resp)); err != nil {
-				return false, false, "mask: " + err.Error()
-			}
-		}
-		subs[i] = masked
-	}
-	runCfg := xcancel.Config{
-		MISR: misr.MustStandard(in.geom.Chains),
-		Q:    min(in.q, in.geom.Chains-1),
-	}
-	pr, err := xcancel.RunPartitioned(runCfg, subs, 0)
-	if err != nil {
-		return false, false, "canceler: " + err.Error()
-	}
-	if pr.TotalX != res.ResidualX {
-		return false, true, fmt.Sprintf("partitioned canceler saw %d X's, plan accounts %d", pr.TotalX, res.ResidualX)
-	}
-	return true, true, ""
+	return vr.Violation
 }
 
 // markFrontier flags the Pareto-optimal verified results over
@@ -375,13 +324,6 @@ func markFrontier(results []result) {
 		}
 		results[i].Frontier = !dominated
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func die(err error) {

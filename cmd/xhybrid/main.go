@@ -9,8 +9,11 @@
 //	                  [-strategy <registry name>] [-workers N] [-v]
 //	xhybrid example   # the paper's Figure 4-6 worked example
 //	xhybrid verify    [-cells N] [-patterns K] [-m 16] [-q 3] [-seed S]
-//	                  # build a circuit, simulate it, program the hybrid and
-//	                  # replay the responses through the hardware models
+//	                  [-strategy <registry name>] [-workers N]
+//	                  # run the circuit flow (xhybrid.RunFlowCtx): build a
+//	                  # circuit, simulate it, program the hybrid, replay the
+//	                  # responses through the hardware models; PASS only
+//	                  # when the flow's preservation verdict holds
 //	xhybrid convert   (-workload ckt-b | -in xmap.json) -out xmap.xmb
 //	                  # re-serialize an X map between the text, JSON and
 //	                  # binary wire formats (format by file extension)
@@ -27,21 +30,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"xhybrid"
-	"xhybrid/internal/core"
-	"xhybrid/internal/flow"
-	"xhybrid/internal/misr"
-	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
-	"xhybrid/internal/scan"
-	"xhybrid/internal/tester"
-	"xhybrid/internal/workload"
-	"xhybrid/internal/xcancel"
 )
 
 func main() {
@@ -86,7 +82,7 @@ func main() {
 	case "example":
 		partition(xhybrid.PaperExample(), xhybrid.Options{MISRSize: 10, Q: 2, Stats: rec}, true)
 	case "verify":
-		verify(*cells, *patterns, *misrSize, *q, *seed, *workers, rec)
+		verify(*cells, *patterns, *misrSize, *q, *seed, *strategy, *workers, rec)
 	case "report":
 		x, err := load(*workloadName, *inFile, *seed)
 		if err != nil {
@@ -194,59 +190,36 @@ func reportMD(x *xhybrid.XLocations, opt xhybrid.Options) {
 		plan.MaskedX, plan.TotalX, plan.ResidualX, plan.TestTimeHybrid, plan.TestTimeCancelOnly)
 }
 
-// verify builds a generated circuit, simulates it, assembles the hybrid
-// program and replays the responses through the hardware models.
-func verify(cells, patterns, m, q int, seed int64, workers int, rec *xhybrid.Stats) {
+// verify runs the circuit flow on a generated 16-chain circuit: simulate
+// it, program the hybrid, replay the responses through the hardware models
+// and judge the replay against the plan's accounting.
+func verify(cells, patterns, m, q int, seed int64, strategy string, workers int, rec *xhybrid.Stats) {
 	if m > 16 {
 		// The demo uses 16 chains; the compactor cannot spread them over a
 		// wider MISR, so clamp to a 16-bit register.
 		m, q = 16, 3
 	}
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "verify", ScanCells: cells, PIs: 8, XClusters: 4, XFanout: 5, Seed: seed + 1,
-	})
+	rep, err := xhybrid.RunFlowCtx(context.Background(), xhybrid.FlowSpec{
+		Name: "verify", Cells: cells, Chains: 16, PIs: 8, XClusters: 4, XFanout: 5,
+		CircuitSeed: seed + 1, StimSeed: uint64(seed) + 1, Patterns: patterns,
+		MISRSize: m, Q: q, Strategy: strategy, Workers: workers,
+	}, xhybrid.FlowRunConfig{Obs: rec})
 	if err != nil {
 		die(err)
 	}
-	if cells%16 != 0 {
-		die(fmt.Errorf("cells must be a multiple of 16"))
-	}
-	geom := scan.MustGeometry(16, cells/16)
-	endSim := rec.Span("verify.simulate")
-	set, xm, err := workload.FromCircuit(ckt, geom, patterns, uint64(seed)+1)
-	endSim()
-	if err != nil {
-		die(err)
-	}
+	r := rep.Replay
 	fmt.Printf("circuit: %d gates, %d scan cells; %d patterns, %d X's\n",
-		ckt.NumGates(), cells, patterns, xm.TotalX())
-	cfg, err := misr.Standard(m)
-	if err != nil {
-		die(err)
-	}
-	prog, err := flow.Build(xm, core.Params{
-		Geom:    geom,
-		Cancel:  xcancel.Config{MISR: cfg, Q: q},
-		Workers: workers,
-		Obs:     rec,
-	}, tester.Config{Channels: 32, OverlapMaskLoad: true})
-	if err != nil {
-		die(err)
-	}
-	fmt.Printf("program: %d partitions, %d mask loads, scheduled %d cycles (normalized %.3f)\n",
-		len(prog.Partitions), prog.Schedule.MaskLoads, prog.Schedule.TotalCycles, prog.Schedule.Normalized())
-	rep, err := flow.VerifyResponses(prog, set)
-	if err != nil {
-		die(err)
-	}
+		rep.Gates, cells, patterns, rep.TotalX)
+	fmt.Printf("program: %d partitions (%s strategy), %d control bits planned, %d halts budgeted\n",
+		rep.Partitions, rep.Spec.Strategy, rep.TotalBits, rep.PlannedHalts)
 	fmt.Printf("replay: masked %d X's (%d observable destroyed), %d residual X's into the MISR\n",
-		rep.MaskedX, rep.ObservableMasked, rep.ResidualX)
+		r.MaskedX, r.ObservableMasked, r.ResidualX)
 	fmt.Printf("canceling: %d halts, %d X-free signatures (%d deficits), %d control bits, time %.3f\n",
-		rep.Halts, rep.Signatures, rep.Deficits, rep.ControlBits, rep.NormalizedTime)
-	if rep.ObservableMasked == 0 {
+		r.Halts, r.Signatures, r.Deficits, r.ControlBits, r.NormalizedTime)
+	if rep.Preserved {
 		fmt.Println("PASS: no observable capture was masked (fault coverage preserved)")
 	} else {
-		fmt.Println("FAIL: observable captures masked")
+		fmt.Println("FAIL: the replay contradicts the plan's accounting")
 		// Through the cleanup path: a failing verify run must still flush
 		// its profiles and stats.
 		exit(1)

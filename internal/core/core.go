@@ -317,32 +317,6 @@ func (e *evaluator) err() error {
 	return nil
 }
 
-// maskedXIn returns how many X's a shared mask removes in the partition,
-// always scanning every X-capturing cell — the raw, uncached cost the
-// incremental engine avoids (partState.ensureStats computes the same value
-// once per distinct partition, over a partition-local cell index).
-// Benchmarks keep measuring this scan directly.
-// The per-cell membership tests fan out over the pool; the integer sum is
-// order-independent. A canceled run short-circuits to 0 — the caller
-// discards the round's results once it observes the cancellation.
-func (e *evaluator) maskedXIn(part gf2.Vec) int {
-	size := part.PopCount()
-	if size == 0 {
-		return 0
-	}
-	e.obsRecomputes.Inc()
-	cells := e.m.XCells()
-	return e.pool.SumInt(len(cells), func(i int) int {
-		if i&cancelCheckMask == 0 && e.canceled() {
-			return 0
-		}
-		if cells[i].Patterns.PopCountAnd(part) == size {
-			return size
-		}
-		return 0
-	})
-}
-
 // cancelCheckMask spaces the cancellation polls of the per-cell loops: one
 // channel select every 64 cells keeps the abort latency in the microseconds
 // while staying invisible next to the popcount work per cell.

@@ -9,13 +9,14 @@ import (
 
 // The strategy registry is the single source of the strategy-name
 // vocabulary. Every surface that turns a wire name into a Strategy — the
-// xhybrid facade, flow specs, the jobs spool, the HTTP API, partbench,
-// stratbench — resolves through LookupStrategy, so every strategy in the
-// table is accepted everywhere and an unknown name fails everywhere with the
-// same enumerating error. (Before the registry the vocabulary lived in four
-// independent string switches, and partbench had already drifted: it spelled
-// greedy-cost where the other surfaces spelled greedy.) The table is fixed
-// at init and never written afterwards, so lookups need no lock.
+// xhybrid facade, flow specs, the jobs spool, the HTTP API, stratbench —
+// resolves through LookupStrategy, so every strategy in the table is
+// accepted everywhere and an unknown name fails everywhere with the same
+// enumerating error. (Before the registry the vocabulary lived in four
+// independent string switches, and the partitioning benchmark had already
+// drifted: it spelled greedy-cost where the other surfaces spelled
+// greedy.) The table is fixed at init and never written afterwards, so
+// lookups need no lock.
 var (
 	registry = map[string]Strategy{}
 	// aliases maps accepted alternate spellings onto canonical names.

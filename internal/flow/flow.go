@@ -141,12 +141,40 @@ type VerifyReport struct {
 	SignatureParities []int
 	// FinalSignature is the end-of-test MISR signature.
 	FinalSignature uint64
+	// Violation is the replay verdict against the plan's accounting: empty
+	// when no observable capture was masked, the masked and unmasked X's
+	// equal the accounted MaskedX and ResidualX, the MISR residual does not
+	// exceed the accounted one, and the halts fit the planned budget;
+	// otherwise it names the first of those comparisons that failed, with
+	// both numbers.
+	Violation string
+}
+
+// violation checks a replay against the plan's accounting and the halt
+// budget the schedule reserves for it, in the order VerifyReport.Violation
+// documents.
+func violation(rep *VerifyReport, acct *core.Result, plannedHalts int) string {
+	switch {
+	case rep.ObservableMasked != 0:
+		return fmt.Sprintf("replay masked %d observable captures", rep.ObservableMasked)
+	case rep.MaskedX != acct.MaskedX:
+		return fmt.Sprintf("replay masked %d X's, plan accounts %d", rep.MaskedX, acct.MaskedX)
+	case rep.UnmaskedX != acct.ResidualX:
+		return fmt.Sprintf("replay left %d X's unmasked, plan accounts %d", rep.UnmaskedX, acct.ResidualX)
+	case rep.ResidualX > acct.ResidualX:
+		return fmt.Sprintf("replay residual %d exceeds accounted %d", rep.ResidualX, acct.ResidualX)
+	case rep.Halts > plannedHalts:
+		return fmt.Sprintf("replay ran %d halts, schedule planned %d", rep.Halts, plannedHalts)
+	}
+	return ""
 }
 
 // VerifyResponses replays the full response set through the program's
-// hardware models. The responses' geometry must match the program; the
-// compactor folds the chains onto the MISR inputs. Per-stage wall time and
-// the cycle/pattern counters land on prog.Obs when set.
+// hardware models and judges the replay against the plan's accounting
+// (VerifyReport.Violation) — the one place the preservation verdict is
+// computed. The responses' geometry must match the program; the compactor
+// folds the chains onto the MISR inputs. Per-stage wall time and the
+// cycle/pattern counters land on prog.Obs when set.
 func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
 	if set.Geom != prog.Geom {
 		return nil, fmt.Errorf("flow: response geometry %v does not match program %v", set.Geom, prog.Geom)
@@ -213,5 +241,7 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 			rep.SignatureParities = append(rep.SignatureParities, sig.Parity)
 		}
 	}
+	planned := xcancel.Halts(prog.Accounting.ResidualX, prog.Cancel.MISR.Size, prog.Cancel.Q)
+	rep.Violation = violation(rep, prog.Accounting, planned)
 	return rep, nil
 }

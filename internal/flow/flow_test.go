@@ -1,14 +1,15 @@
 package flow
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"xhybrid/internal/core"
+	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
-	"xhybrid/internal/netlist"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/tester"
-	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 	"xhybrid/internal/xmap"
 )
@@ -17,17 +18,14 @@ import (
 // needs: geometry, responses and the derived X-map.
 func buildSetup(t *testing.T) (scan.Geometry, *scan.ResponseSet, *xmap.XMap) {
 	t.Helper()
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "flowtest", ScanCells: 128, PIs: 8, XClusters: 4, XFanout: 5, Seed: 21,
+	xb, err := BuildXMap(context.Background(), Spec{
+		Name: "flowtest", Cells: 128, Chains: 16, PIs: 8, XClusters: 4, XFanout: 5,
+		CircuitSeed: 21, StimSeed: 17, Patterns: 80, MISRSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	geom := scan.MustGeometry(16, 8)
-	set, m, err := workload.FromCircuit(ckt, geom, 80, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	geom, set, m := xb.Geom, xb.Responses, xb.XMap
 	if m.TotalX() == 0 {
 		t.Fatal("setup produced no X's")
 	}
@@ -140,5 +138,113 @@ func TestBuildPropagatesErrors(t *testing.T) {
 	}
 	if _, err := Build(m, params(geom), tester.Config{Channels: 0}); err == nil {
 		t.Fatal("accepted invalid tester config")
+	}
+}
+
+// TestVerifyViolation: the replay verdict names the first comparison that
+// fails, with both numbers. Starting from a real program and its responses
+// (which verify), each case breaks one comparison — through the program
+// where a replay can reach it (a mask over an observable cell, an
+// accounting that disagrees with the masks), through the measurements
+// where a consistent replay cannot (compaction never adds X's, and the
+// halts always fit the budget of the residual they retire).
+func TestVerifyViolation(t *testing.T) {
+	geom, set, m := buildSetup(t)
+	base, err := Build(m, params(geom), tester.Config{Channels: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := *base.Accounting
+	planned := xcancel.Halts(acct.ResidualX, 8, 2)
+
+	// A cell partition 0's mask leaves open, and the known captures that
+	// masking it would destroy.
+	part := base.Partitions[0]
+	cell, known := -1, 0
+	for c := 0; c < geom.Cells() && cell < 0; c++ {
+		if part.Mask.Masks(c) {
+			continue
+		}
+		part.Patterns.ForEach(func(p int) {
+			if set.Responses[p].Values[c] != logic.X {
+				known++
+			}
+		})
+		if known > 0 {
+			cell = c
+		}
+	}
+	if cell < 0 {
+		t.Fatal("partition 0 masks every cell with a known capture")
+	}
+
+	cases := []struct {
+		name string
+		// prog perturbs a copy of the program before the replay; meas
+		// perturbs the replay's measurements, after which the verdict is
+		// recomputed against the (possibly perturbed) accounting.
+		prog func(*Program)
+		meas func(*VerifyReport)
+		want string
+	}{
+		{name: "unperturbed", want: ""},
+		{
+			name: "observable masked",
+			prog: func(p *Program) {
+				cells := p.Partitions[0].Mask.Cells.Clone()
+				cells.Set(cell)
+				p.Partitions[0].Mask.Cells = cells
+			},
+			want: fmt.Sprintf("replay masked %d observable captures", known),
+		},
+		{
+			name: "masked X",
+			prog: func(p *Program) { p.Accounting.MaskedX++ },
+			want: fmt.Sprintf("replay masked %d X's, plan accounts %d", acct.MaskedX, acct.MaskedX+1),
+		},
+		{
+			name: "unmasked X",
+			prog: func(p *Program) { p.Accounting.ResidualX++ },
+			want: fmt.Sprintf("replay left %d X's unmasked, plan accounts %d", acct.ResidualX, acct.ResidualX+1),
+		},
+		{
+			name: "residual",
+			meas: func(r *VerifyReport) { r.ResidualX = acct.ResidualX + 1 },
+			want: fmt.Sprintf("replay residual %d exceeds accounted %d", acct.ResidualX+1, acct.ResidualX),
+		},
+		{
+			name: "halts",
+			meas: func(r *VerifyReport) { r.Halts = planned + 1 },
+			want: fmt.Sprintf("replay ran %d halts, schedule planned %d", planned+1, planned),
+		},
+		{
+			name: "first failure wins",
+			prog: func(p *Program) { p.Accounting.MaskedX++ },
+			meas: func(r *VerifyReport) { r.ResidualX, r.Halts = acct.ResidualX+1, planned+1 },
+			want: fmt.Sprintf("replay masked %d X's, plan accounts %d", acct.MaskedX, acct.MaskedX+1),
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog := *base
+			a := acct
+			prog.Accounting = &a
+			prog.Partitions = append([]core.Partition(nil), base.Partitions...)
+			if c.prog != nil {
+				c.prog(&prog)
+			}
+			rep, err := VerifyResponses(&prog, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.meas != nil {
+				c.meas(rep)
+				rep.Violation = violation(rep, prog.Accounting,
+					xcancel.Halts(prog.Accounting.ResidualX, 8, 2))
+			}
+			if rep.Violation != c.want {
+				t.Fatalf("Violation = %q, want %q", rep.Violation, c.want)
+			}
+		})
 	}
 }

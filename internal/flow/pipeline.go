@@ -447,11 +447,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 		NormalizedTime:   vr.NormalizedTime,
 		FinalSignature:   vr.FinalSignature,
 	}
-	rep.Preserved = vr.ObservableMasked == 0 &&
-		vr.MaskedX == acct.MaskedX &&
-		vr.UnmaskedX == acct.ResidualX &&
-		vr.ResidualX <= acct.ResidualX &&
-		vr.Halts <= rep.PlannedHalts
+	rep.Preserved = vr.Violation == ""
 
 	// Stage 7 (optional): fault simulation with and without the masks.
 	if spec.FaultSample > 0 || spec.FaultFull {
